@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.compiler import CompiledDesign, GemCompiler, GemConfig
 from repro.core.perfmodel import tuning_score
 from repro.core.synthesis import SynthesisResult
-from repro.errors import UnmappableError
+from repro.errors import CoreWidthError, UnmappableError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 
@@ -182,7 +182,7 @@ class CandidateResult:
     """One evaluated knob combination."""
 
     knobs: dict
-    digest: str  # GemConfig.digest() of the applied candidate
+    digest: str  # GemConfig.digest() of the applied candidate ("" if none)
     status: str  # "ok" | "unmappable" | "error"
     score: dict | None = None  # perfmodel.tuning_score breakdown
     measured_cycles_per_s: float | None = None
@@ -301,7 +301,11 @@ def _choose_candidates(
     seen = {base_digest}
     grid = []
     for knobs in space.grid():
-        digest = apply_knobs(base, knobs).digest()
+        try:
+            digest = apply_knobs(base, knobs).digest()
+        except CoreWidthError:
+            # no config to digest; the sweep records it as unmappable
+            digest = _knob_sort_key(knobs)
         if digest in seen:
             continue
         seen.add(digest)
@@ -388,11 +392,12 @@ def autotune(
         args={"crc": crc, "candidates": len(chosen), "seed": opts.seed},
     ):
         for label, knobs in chosen:
-            config = apply_knobs(base, knobs)
-            digest = config.digest()
             _counter("gem_tune_candidates_total", "knob candidates evaluated").inc()
             t0 = time.perf_counter()
+            digest = ""  # stays empty when the knobs build no valid config
             try:
+                config = apply_knobs(base, knobs)
+                digest = config.digest()
                 with TRACER.span(
                     f"tune:compile:{design}",
                     cat="tune",
@@ -415,9 +420,9 @@ def autotune(
                 continue
             except Exception as exc:
                 # A sweep probes corners of the knob space the rest of the
-                # flow has never seen (e.g. width_log2=14 currently dies in
-                # assembly) — record the crash against the candidate and
-                # keep sweeping rather than losing the whole search.
+                # flow has never seen — record the crash against the
+                # candidate and keep sweeping rather than losing the whole
+                # search.
                 _counter(
                     "gem_tune_errors_total", "candidates crashed during compile"
                 ).inc()

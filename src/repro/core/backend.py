@@ -1,92 +1,164 @@
 """Pluggable execution backends for the stage-fused hot loop.
 
-:class:`repro.core.fused.FusedProgram` was designed as "the kernel
-schedule a CuPy/Numba backend would consume" — fixed index arrays and
-constant vectors, no per-element Python control flow.  This module is
-the seam that cashes that check: an :class:`ArrayBackend` protocol over
-the primitives the executor needs (buffer allocation, gather / xor /
-and / scatter, the boomerang fold) plus a whole-stage compilation hook,
-with three implementations:
+:class:`repro.core.fused.FusedProgram` is the kernel schedule: fixed
+index arrays and constant vectors, no per-element Python control flow.
+A backend's only job is to compile one fused stage of it into a runner;
+the :class:`ArrayBackend` protocol is a ``name`` plus
+:meth:`~ArrayBackend.compile_stage`.  Two implementations ship:
 
-* :class:`NumpyBackend` — the default; the executor keeps its
-  hand-tuned bound-method ``take`` loop (extracted alongside this
-  protocol from the historical ``FusedExecutor`` hot path), so numpy
-  runs are byte-identical to the pre-backend engine.
+* :class:`NumpyBackend` — the default; its runner is the hand-tuned
+  loop of presliced bound-method ``take`` views into preallocated
+  buffers, with every all-zero constant elided.
 * :class:`NumbaBackend` — JIT-compiles each stage's wave schedule into
   **one fused native kernel per stage**: the read gather, every wave's
   gather+flip+AND, and all terminal scatters run as a single nopython
   loop nest with no per-wave NumPy dispatch and no intermediate
   temporaries.  One generic kernel is compiled once per process (numba
   caches it on disk) and parameterized by each stage's index tables.
-* :class:`CupyBackend` — a GPU drop-in stub: the same stage schedule
-  executed with CuPy ufuncs, staging state to and from the device per
-  stage.  It exists to pin the protocol shape for a real GPU port; the
-  per-stage transfers make it a correctness backend, not a fast one.
 
-Backends whose runtime dependency is missing (no numba; no cupy or no
-visible GPU) resolve to numpy with a single warning per process —
-mirroring the ``FusionError`` → legacy fallback pattern — so
-``--backend numba`` never hard-fails a run on a machine without it.
-
-Lane planes: every kernel here is written against the 2-D ``(n, K)``
-plane layout of :mod:`repro.core.engine`.  Single-word batches
-(``K == 1``) pass zero-copy ``(n, 1)`` reshape views, so one kernel
-serves every batch size.
+A backend whose runtime dependency is missing resolves to numpy with a
+single warning per process — mirroring the ``FusionError`` → legacy
+fallback pattern — so ``--backend numba`` never hard-fails a run on a
+machine without it.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import time
 
 import numpy as np
 
-from repro.errors import BackendUnavailableError
+from repro.errors import BackendUnavailableError, UnknownBackendError
 
 logger = logging.getLogger(__name__)
 
 #: selectable backend names, in preference order
-BACKEND_NAMES = ("numpy", "numba", "cupy")
+BACKEND_NAMES = ("numpy", "numba")
 
 
-@dataclass
-class StagePlan:
-    """One fused stage's schedule, flattened for kernel consumption.
+class ArrayBackend:
+    """Protocol: a ``name`` and a per-stage compiler.
 
-    The per-wave tables of :class:`repro.core.fused._FusedStage` are
-    concatenated into flat arrays with per-wave ``(count, out, start)``
-    descriptors so a single compiled kernel can run any stage.  Elided
-    constants (``None`` inversion vectors) are materialized as zeros —
-    a compiled kernel XORs them for free, unlike a NumPy dispatch.
+    :meth:`compile_stage` receives one ``_FusedStage`` plus the
+    executor's buffers — the trace (``(n,)`` at ``K == 1``, else
+    ``(n, K)``), the RAM-port arena, and a scratch buffer of the
+    program's largest wave that the runner may clobber — and returns
+    ``run(gstate, times) -> values | None``.  One call performs the
+    stage's read gather, every wave, and the immediate-GWRITE and
+    RAM-port stores; it returns the stage's deferred-GWRITE values
+    (aligned with ``stage.def_gidx``, or ``None`` when there are none),
+    which the caller commits at the cycle boundary.  ``times`` is the
+    interpreter's ``phase_times`` dict under profiling, else ``None``.
     """
 
-    trace_size: int
-    read_gidx: np.ndarray  # int64 (nread,)
-    wave_count: np.ndarray  # int64 (nwaves,) nodes per wave
-    wave_out: np.ndarray  # int64 (nwaves,) trace offset of the outputs
-    wave_start: np.ndarray  # int64 (nwaves,) offset into gather/flips
-    gather: np.ndarray  # int64, all waves' operand positions (A then B)
-    flips: np.ndarray  # uint64, matching edge-flip words
-    gwn_gidx: np.ndarray  # int64, immediate GWRITE targets (dyn + const)
-    gwn_src: np.ndarray  # int64, trace positions of the dynamic prefix
-    gwn_inv: np.ndarray  # uint64 (ndyn,)
-    gwn_const: np.ndarray  # uint64, the constant tail's words
-    ram_slots: np.ndarray  # int64, dynamic RAM-port arena slots
-    ram_src: np.ndarray  # int64
-    ram_inv: np.ndarray  # uint64
-    def_src: np.ndarray  # int64, deferred-GWRITE trace positions
-    def_inv: np.ndarray  # uint64
+    name = "numpy"
+
+    def compile_stage(self, stage, trace, arena, scratch):
+        raise NotImplementedError
 
 
-def stage_plan(stage) -> StagePlan:
-    """Flatten one ``_FusedStage`` into a :class:`StagePlan`."""
+class NumpyBackend(ArrayBackend):
+    """The default backend: plain NumPy ufuncs on host memory.
+
+    Each runner issues only fixed-shape ufuncs with ``out=`` into buffers
+    preallocated here (zero allocation apart from the fancy-index scatters
+    NumPy performs in place).  Every wave tuple is presliced, so the loop
+    touches no Python-level slicing or the ``np.take`` wrapper (the bound
+    ``ndarray.take`` skips ~2.5us of dispatch per call).  Single-word
+    batches stay on 1-D arrays; lane planes broadcast constants as
+    ``(n, 1)`` columns.
+    """
+
+    name = "numpy"
+
+    def compile_stage(self, stage, trace, arena, scratch):
+        plane = trace.shape[1:]
+
+        def buf(n):
+            return np.zeros((n,) + plane, dtype=np.uint64)
+
+        def col(arr):
+            return arr[:, None] if arr is not None and plane else arr
+
+        take = trace.take
+        read_gidx = stage.read_gidx if stage.read_gidx.size else None
+        read_view = trace[: stage.read_gidx.size]
+        waves = []
+        for wave in stage.waves:
+            n = wave.count
+            ab = scratch[: 2 * n]
+            out = trace[wave.out_offset : wave.out_offset + n]
+            waves.append((wave.gather, col(wave.flips), ab, ab[:n], ab[n:], out))
+
+        gwn_gidx = stage.gwn_gidx if stage.gwn_gidx.size else None
+        nd = stage.gwn_src.size
+        gwn_buf = buf(stage.gwn_gidx.size)
+        gwn_buf[nd:] = col(stage.gwn_const)
+        gwn_dyn = gwn_buf[:nd] if nd else None
+        gwn_src, gwn_inv = stage.gwn_src, col(stage.gwn_inv)
+        ram_slots = stage.ram_slots if stage.ram_slots.size else None
+        ram_buf = buf(stage.ram_slots.size)
+        ram_src, ram_inv = stage.ram_src, col(stage.ram_inv)
+        def_buf = buf(stage.def_gidx.size) if stage.def_gidx.size else None
+        def_src, def_inv = stage.def_src, col(stage.def_inv)
+        perf_counter = time.perf_counter
+
+        def run(gstate, times):
+            if times is not None:
+                t0 = perf_counter()
+            if read_gidx is not None:
+                gstate.take(read_gidx, 0, read_view, "clip")
+            if times is not None:
+                t1 = perf_counter()
+                times["gather"] += t1 - t0
+                t0 = t1
+            for gather, flips, ab, a, b, out in waves:
+                take(gather, 0, ab, "clip")
+                if flips is not None:
+                    np.bitwise_xor(ab, flips, out=ab)
+                np.bitwise_and(a, b, out=out)
+            if times is not None:
+                t1 = perf_counter()
+                times["fold"] += t1 - t0
+                t0 = t1
+            if gwn_gidx is not None:
+                if gwn_dyn is not None:
+                    take(gwn_src, 0, gwn_dyn, "clip")
+                    if gwn_inv is not None:
+                        np.bitwise_xor(gwn_dyn, gwn_inv, out=gwn_dyn)
+                gstate[gwn_gidx] = gwn_buf
+            if ram_slots is not None:
+                take(ram_src, 0, ram_buf, "clip")
+                if ram_inv is not None:
+                    np.bitwise_xor(ram_buf, ram_inv, out=ram_buf)
+                arena[ram_slots] = ram_buf
+            if def_buf is not None:
+                take(def_src, 0, def_buf, "clip")
+                if def_inv is not None:
+                    np.bitwise_xor(def_buf, def_inv, out=def_buf)
+            if times is not None:
+                times["commit"] += perf_counter() - t0
+            return def_buf
+
+        return run
+
+
+def _flatten(stage) -> tuple[np.ndarray, ...]:
+    """One ``_FusedStage`` as the numba kernel's tables, in argument order.
+
+    The per-wave tables are concatenated behind per-wave
+    ``(count, out, start)`` descriptors so a single compiled kernel can
+    run any stage.  Elided constants (``None`` inversion vectors) become
+    zeros — a compiled kernel XORs them for free, unlike a NumPy dispatch.
+    """
     counts, outs, starts, gathers, flips = [], [], [], [], []
     off = 0
     for wave in stage.waves:
         counts.append(wave.count)
         outs.append(wave.out_offset)
         starts.append(off)
-        gathers.append(wave.gather.astype(np.int64))
+        gathers.append(wave.gather)
         flips.append(
             wave.flips
             if wave.flips is not None
@@ -94,130 +166,29 @@ def stage_plan(stage) -> StagePlan:
         )
         off += 2 * wave.count
 
-    def _zeros_like(inv, n):
-        return inv if inv is not None else np.zeros(n, dtype=np.uint64)
+    def idx(arr):
+        return np.asarray(arr, dtype=np.int64)
 
-    return StagePlan(
-        trace_size=stage.trace_size,
-        read_gidx=stage.read_gidx.astype(np.int64),
-        wave_count=np.array(counts, dtype=np.int64),
-        wave_out=np.array(outs, dtype=np.int64),
-        wave_start=np.array(starts, dtype=np.int64),
-        gather=(
-            np.concatenate(gathers) if gathers else np.zeros(0, dtype=np.int64)
-        ),
-        flips=(
-            np.concatenate(flips) if flips else np.zeros(0, dtype=np.uint64)
-        ),
-        gwn_gidx=stage.gwn_gidx.astype(np.int64),
-        gwn_src=stage.gwn_src.astype(np.int64),
-        gwn_inv=_zeros_like(stage.gwn_inv, stage.gwn_src.size),
-        gwn_const=stage.gwn_const,
-        ram_slots=stage.ram_slots.astype(np.int64),
-        ram_src=stage.ram_src.astype(np.int64),
-        ram_inv=_zeros_like(stage.ram_inv, stage.ram_src.size),
-        def_src=stage.def_src.astype(np.int64),
-        def_inv=_zeros_like(stage.def_inv, stage.def_src.size),
+    def inv(arr, n):
+        return arr if arr is not None else np.zeros(n, dtype=np.uint64)
+
+    return (
+        idx(stage.read_gidx),
+        idx(counts),
+        idx(outs),
+        idx(starts),
+        idx(np.concatenate(gathers) if gathers else []),
+        np.concatenate(flips) if flips else np.zeros(0, dtype=np.uint64),
+        idx(stage.gwn_gidx),
+        idx(stage.gwn_src),
+        inv(stage.gwn_inv, stage.gwn_src.size),
+        stage.gwn_const,
+        idx(stage.ram_slots),
+        idx(stage.ram_src),
+        inv(stage.ram_inv, stage.ram_src.size),
+        idx(stage.def_src),
+        inv(stage.def_inv, stage.def_src.size),
     )
-
-
-class ArrayBackend:
-    """Protocol for the executor's array primitives (numpy semantics).
-
-    The base class *is* the numpy implementation of the individual
-    primitives; subclasses override :meth:`compile_stage` to replace the
-    per-stage schedule with a fused kernel (and may override the
-    primitives for device-resident arrays).  All stage-level arrays are
-    2-D ``(n, K)`` lane planes — ``K == 1`` callers pass reshape views.
-    """
-
-    name = "numpy"
-
-    # -- buffer allocation ----------------------------------------------------
-
-    def zeros(self, shape) -> np.ndarray:
-        """A zeroed uint64 buffer the backend's kernels can target."""
-        return np.zeros(shape, dtype=np.uint64)
-
-    # -- primitives (one fused-schedule step each) ----------------------------
-
-    def gather(self, src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-        """``out[:] = src[idx]`` along axis 0 (clip mode, preallocated)."""
-        src.take(idx, 0, out, "clip")
-
-    def scatter(self, dst: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-        """``dst[idx] = values`` along axis 0."""
-        dst[idx] = values
-
-    def xor(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        np.bitwise_xor(a, b, out=out)
-
-    def and_(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        np.bitwise_and(a, b, out=out)
-
-    def fold(self, vec, xor_a, xor_b, or_b) -> np.ndarray:
-        """One boomerang fold step over packed lane words."""
-        return (vec[0::2] ^ xor_a) & ((vec[1::2] ^ xor_b) | or_b)
-
-    # -- whole-stage compilation ----------------------------------------------
-
-    def compile_stage(self, plan: StagePlan):
-        """Compile one stage schedule; returns
-        ``run(gstate, trace, arena, def_buf) -> None`` over ``(n, K)``
-        planes.  The returned callable performs the stage's read gather,
-        every wave, and the gwn/ram/deferred terminal stores
-        (``def_buf`` receives the deferred values; the caller commits
-        them at the cycle boundary)."""
-        ndyn = plan.gwn_src.size
-        gwn_const = plan.gwn_const[:, None]
-        gwn_inv = plan.gwn_inv[:, None]
-        ram_inv = plan.ram_inv[:, None]
-        def_inv = plan.def_inv[:, None]
-        flips = plan.flips[:, None]
-        waves = [
-            (
-                plan.gather[s : s + 2 * n],
-                flips[s : s + 2 * n],
-                n,
-                out,
-            )
-            for n, out, s in zip(
-                plan.wave_count.tolist(),
-                plan.wave_out.tolist(),
-                plan.wave_start.tolist(),
-            )
-        ]
-
-        def run(gstate, trace, arena, def_buf):
-            if plan.read_gidx.size:
-                trace[: plan.read_gidx.size] = gstate[plan.read_gidx]
-            for gather, wflips, n, out in waves:
-                ab = trace[gather] ^ wflips
-                np.bitwise_and(ab[:n], ab[n:], out=trace[out : out + n])
-            if plan.gwn_gidx.size:
-                if ndyn:
-                    gstate[plan.gwn_gidx[:ndyn]] = trace[plan.gwn_src] ^ gwn_inv
-                if plan.gwn_const.size:
-                    gstate[plan.gwn_gidx[ndyn:]] = gwn_const
-            if plan.ram_slots.size:
-                arena[plan.ram_slots] = trace[plan.ram_src] ^ ram_inv
-            if plan.def_src.size:
-                np.bitwise_xor(trace[plan.def_src], def_inv, out=def_buf)
-
-        return run
-
-
-class NumpyBackend(ArrayBackend):
-    """The default backend: plain NumPy ufuncs on host memory.
-
-    ``FusedExecutor`` special-cases this backend to keep its historical
-    presliced bound-method hot loop (see the executor docstring), so a
-    numpy run is byte-identical to the pre-backend engine; the
-    :meth:`ArrayBackend.compile_stage` path above is the generic
-    reference implementation the other backends mirror.
-    """
-
-    name = "numpy"
 
 
 def _build_numba_kernel(numba):
@@ -297,8 +268,18 @@ def _build_numba_kernel(numba):
     return stage_kernel
 
 
+def _plane2d(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as an ``(n, K)`` plane (a zero-copy view at ``K == 1``)."""
+    return arr if arr.ndim == 2 else arr.reshape(-1, 1)
+
+
 class NumbaBackend(ArrayBackend):
-    """Stage schedules JIT-compiled to one native kernel per stage."""
+    """Stage schedules JIT-compiled to one native kernel per stage.
+
+    The kernel sees 2-D ``(n, K)`` planes; single-word batches pass
+    zero-copy ``(n, 1)`` reshape views.  A native stage has no
+    gather/fold boundary, so under profiling its time lands in ``fold``.
+    """
 
     name = "numba"
 
@@ -311,122 +292,30 @@ class NumbaBackend(ArrayBackend):
             ) from exc
         self._kernel = _build_numba_kernel(numba)
 
-    def compile_stage(self, plan: StagePlan):
+    def compile_stage(self, stage, trace, arena, scratch):  # pragma: no cover - needs numba
         kernel = self._kernel
+        tables = _flatten(stage)
+        trace2, arena2 = _plane2d(trace), _plane2d(arena)
+        def_buf = np.zeros((stage.def_src.size, trace2.shape[1]), dtype=np.uint64)
+        values = None
+        if stage.def_src.size:
+            # merge() needs 1-D values when the state itself is 1-D
+            values = def_buf if trace.ndim == 2 else def_buf.reshape(-1)
 
-        def run(gstate, trace, arena, def_buf):  # pragma: no cover - needs numba
-            kernel(
-                gstate,
-                trace,
-                arena,
-                def_buf,
-                plan.read_gidx,
-                plan.wave_count,
-                plan.wave_out,
-                plan.wave_start,
-                plan.gather,
-                plan.flips,
-                plan.gwn_gidx,
-                plan.gwn_src,
-                plan.gwn_inv,
-                plan.gwn_const,
-                plan.ram_slots,
-                plan.ram_src,
-                plan.ram_inv,
-                plan.def_src,
-                plan.def_inv,
-            )
-
-        return run
-
-
-class CupyBackend(ArrayBackend):
-    """GPU stage execution via CuPy — correctness stub.
-
-    Uploads the stage's inputs, runs the generic schedule with CuPy
-    ufuncs, and downloads the results, once per stage.  A real port
-    would keep ``gstate``/``trace``/``arena`` device-resident across the
-    whole run (the protocol's ``zeros`` hook is where that starts); the
-    stub keeps state on the host so checkpoints, scrubbing, and fault
-    injection work unchanged.
-    """
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        try:
-            import cupy
-        except ImportError as exc:
-            raise BackendUnavailableError(
-                "cupy is not installed (pip install cupy-cuda12x)"
-            ) from exc
-        try:
-            if cupy.cuda.runtime.getDeviceCount() < 1:
-                raise BackendUnavailableError("cupy found no CUDA device")
-        except BackendUnavailableError:
-            raise
-        except Exception as exc:
-            raise BackendUnavailableError(f"CUDA unavailable ({exc})") from exc
-        self._cp = cupy
-
-    def compile_stage(self, plan: StagePlan):  # pragma: no cover - needs a GPU
-        cp = self._cp
-        ndyn = plan.gwn_src.size
-        d = {
-            name: cp.asarray(getattr(plan, name))
-            for name in (
-                "read_gidx",
-                "gather",
-                "flips",
-                "gwn_gidx",
-                "gwn_src",
-                "gwn_inv",
-                "gwn_const",
-                "ram_slots",
-                "ram_src",
-                "ram_inv",
-                "def_src",
-                "def_inv",
-            )
-        }
-        waves = list(
-            zip(
-                plan.wave_count.tolist(),
-                plan.wave_out.tolist(),
-                plan.wave_start.tolist(),
-            )
-        )
-
-        def run(gstate, trace, arena, def_buf):
-            d_trace = cp.zeros(trace.shape, dtype=cp.uint64)
-            d_gstate = cp.asarray(gstate)
-            if plan.read_gidx.size:
-                d_trace[: plan.read_gidx.size] = d_gstate[d["read_gidx"]]
-            for n, out, s in waves:
-                ab = d_trace[d["gather"][s : s + 2 * n]] ^ d["flips"][s : s + 2 * n, None]
-                d_trace[out : out + n] = ab[:n] & ab[n:]
-            if plan.gwn_gidx.size:
-                if ndyn:
-                    d_gstate[d["gwn_gidx"][:ndyn]] = (
-                        d_trace[d["gwn_src"]] ^ d["gwn_inv"][:, None]
-                    )
-                if plan.gwn_const.size:
-                    d_gstate[d["gwn_gidx"][ndyn:]] = d["gwn_const"][:, None]
-                gstate[plan.gwn_gidx] = cp.asnumpy(d_gstate[d["gwn_gidx"]])
-            if plan.ram_slots.size:
-                arena[plan.ram_slots] = cp.asnumpy(
-                    d_trace[d["ram_src"]] ^ d["ram_inv"][:, None]
-                )
-            if plan.def_src.size:
-                def_buf[:] = cp.asnumpy(d_trace[d["def_src"]] ^ d["def_inv"][:, None])
-            trace[:] = cp.asnumpy(d_trace)
+        def run(gstate, times):
+            if times is not None:
+                t0 = time.perf_counter()
+            kernel(_plane2d(gstate), trace2, arena2, def_buf, *tables)
+            if times is not None:
+                times["fold"] += time.perf_counter() - t0
+            return values
 
         return run
 
 
 # -- resolution ---------------------------------------------------------------
 
-_CLASSES = {"numpy": NumpyBackend, "numba": NumbaBackend, "cupy": CupyBackend}
+_CLASSES = {"numpy": NumpyBackend, "numba": NumbaBackend}
 _INSTANCES: dict[str, ArrayBackend] = {}
 _FALLBACK_WARNED: set[str] = set()
 
@@ -437,16 +326,14 @@ def resolve_backend(name=None, *, strict: bool = False) -> ArrayBackend:
     ``None`` means numpy.  A backend whose dependency is missing falls
     back to numpy with one warning per process (``strict=True`` raises
     :class:`BackendUnavailableError` instead) — the same shape as the
-    ``FusionError`` → legacy fallback.
+    ``FusionError`` → legacy fallback.  A name outside
+    :data:`BACKEND_NAMES` always raises :class:`UnknownBackendError`.
     """
     if name is None:
         name = "numpy"
     if isinstance(name, ArrayBackend):
         return name
-    if name not in _CLASSES:
-        raise BackendUnavailableError(
-            f"unknown backend {name!r}; choose from {BACKEND_NAMES}"
-        )
+    check_backend_names((name,))
     inst = _INSTANCES.get(name)
     if inst is not None:
         return inst
@@ -463,6 +350,21 @@ def resolve_backend(name=None, *, strict: bool = False) -> ArrayBackend:
         return resolve_backend("numpy")
     _INSTANCES[name] = inst
     return inst
+
+
+def check_backend_names(names) -> tuple[str, ...]:
+    """``names`` as a tuple, each one of :data:`BACKEND_NAMES`.
+
+    A misspelt name raises :class:`UnknownBackendError` up front, so it
+    can never pass for a known backend whose dependency is missing.
+    """
+    names = tuple(names)
+    for name in names:
+        if name not in BACKEND_NAMES:
+            raise UnknownBackendError(
+                f"unknown backend {name!r}; choose from {BACKEND_NAMES}"
+            )
+    return names
 
 
 def available_backends() -> tuple[str, ...]:

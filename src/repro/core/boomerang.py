@@ -33,6 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.isa import Opcode, instruction_words
+from repro.errors import CoreWidthError
+
+#: payload bits of one FOLD instruction (every word but the header)
+_FOLD_PAYLOAD_BITS = 32 * (instruction_words(Opcode.FOLD) - 1)
+#: widest core whose layer fits one FOLD: a 2^w-leaf layer folds
+#: 2^w - 1 positions, each with three constants (XOR.A, XOR.B, OR.B)
+MAX_WIDTH_LOG2 = (_FOLD_PAYLOAD_BITS // 3 + 1).bit_length() - 1
+
 
 @dataclass(frozen=True)
 class BoomerangConfig:
@@ -43,6 +52,14 @@ class BoomerangConfig:
     #: state bits per core; defaults to the leaf width (the paper keeps
     #: "up to 8192 bits of circuit states" per core)
     state_bits: int | None = None
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.width_log2 <= MAX_WIDTH_LOG2:
+            raise CoreWidthError(
+                f"width_log2={self.width_log2} is outside 1..{MAX_WIDTH_LOG2}: "
+                "one FOLD instruction holds the 3 x (2^w - 1) fold constants "
+                f"of a layer in {_FOLD_PAYLOAD_BITS} payload bits"
+            )
 
     @property
     def width(self) -> int:

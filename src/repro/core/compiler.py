@@ -143,7 +143,7 @@ class CompiledDesign:
         ``mode`` selects the stage-fused executor (default) or the legacy
         per-partition interpreter; ``profile`` enables per-phase timers;
         ``backend`` picks the fused path's array backend
-        (``numpy``/``numba``/``cupy``, with warn-once numpy fallback).
+        (``numpy``/``numba``, with warn-once numpy fallback).
 
         Designs compiled for ``values=4`` return a
         :class:`~repro.fourstate.fastpath.FourStateSimulator` — the same

@@ -64,8 +64,8 @@ executor cooperation.
 instances via the fusion cache, keyed by bitstream CRC — see
 :func:`fused_program`); :class:`FusedExecutor` owns the mutable trace,
 arena and scatter buffers of one interpreter.  The tables are exactly
-the form a Numba/CuPy backend would consume: fixed index arrays and
-constant vectors, no Python control flow per element.
+the form every backend compiles (:mod:`repro.core.backend`): fixed index
+arrays and constant vectors, no Python control flow per element.
 """
 
 from __future__ import annotations
@@ -608,195 +608,63 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
 class FusedExecutor:
     """Per-interpreter runtime of one :class:`FusedProgram`.
 
-    Owns the trace, the RAM-slot arena and every terminal scatter buffer;
-    ``run_cycle`` issues only fixed-shape ufuncs with ``out=`` into them
-    (zero allocation in the hot loop, apart from the fancy-index scatters
-    NumPy performs in place).  The single trace buffer is reused across
-    stages — nothing reads a stage's trace after its deferred values are
-    sampled — and the arena carries no live state across cycles beyond
-    the constant presets.
+    Owns the trace, the RAM-slot arena and the wave scratch buffer, and
+    has the interpreter's backend compile every stage against them
+    (:meth:`repro.core.backend.ArrayBackend.compile_stage`).  The single
+    trace buffer is reused across stages — nothing reads a stage's trace
+    after its deferred values are sampled — and the arena carries no live
+    state across cycles beyond the constant presets.
     """
 
     def __init__(self, fused: FusedProgram, interp: "GemInterpreter") -> None:
         self.fused = fused
         self.interp = interp
         eng = interp.engine
-        backend = interp.backend
-        #: multi-word lane plane? buffers then carry a trailing (K,) axis
-        #: and per-element constants broadcast as (n, 1) columns
-        self._plane = eng.words > 1
 
         def col(arr):
-            """Constant vectors broadcastable across the lane plane."""
-            if arr is None or not self._plane:
-                return arr
-            return arr[:, None]
+            """Multi-word lane planes broadcast constants as (n, 1) columns."""
+            return arr[:, None] if eng.words > 1 else arr
 
         self.arena = eng.zeros(fused.arena_size)
         if fused.preset_slots.size:
             self.arena[fused.preset_slots] = col(fused.preset_vals)
         self.trace = eng.zeros(fused.max_trace)
-        self._views = [
-            self.arena[base : base + span]
-            for base, span in zip(fused.arena_base, fused.arena_span)
-        ]
+        scratch = eng.zeros(fused.max_wave)
         self._def_const = (
             (fused.def_const_gidx, col(fused.def_const_vals), None)
             if fused.def_const_gidx.size
             else None
         )
-        self._compiled: list | None = None
-        if backend.name != "numpy":
-            # Whole-stage kernels compiled by the backend from the
-            # flattened schedule; the numpy buffers below are unused.
-            from repro.core.backend import stage_plan
-
-            self._compiled = [
-                backend.compile_stage(stage_plan(stage)) for stage in fused.stages
-            ]
-            self._def_bufs2d = [
-                np.zeros((stage.def_gidx.size, eng.words), dtype=np.uint64)
-                for stage in fused.stages
-            ]
-            # merge() needs 1-D values when the state itself is 1-D
-            self._def_flat = [
-                buf if self._plane else buf.reshape(-1)
-                for buf in self._def_bufs2d
-            ]
-            return
-        self._wave_buf = eng.zeros(fused.max_wave)
-        self._gwn_bufs: list[np.ndarray] = []
-        self._ram_bufs: list[np.ndarray] = []
-        self._def_bufs: list[np.ndarray] = []
-        #: per-stage constant vectors, plane-broadcastable
-        self._gwn_invs: list[np.ndarray | None] = []
-        self._ram_invs: list[np.ndarray | None] = []
-        self._def_invs: list[np.ndarray | None] = []
-        # Per-wave execution tuples with the buffer views presliced: the
-        # hot loop then touches no Python-level slicing or the np.take
-        # wrapper (the bound ndarray.take skips ~2.5us of dispatch per
-        # call, and every view below aliases a preallocated buffer).
-        self._read_views: list[np.ndarray] = []
-        self._wave_exec: list[list[tuple]] = []
-        for stage in fused.stages:
-            buf = eng.zeros(stage.gwn_gidx.size)
-            buf[stage.gwn_src.size :] = col(stage.gwn_const)
-            self._gwn_bufs.append(buf)
-            self._ram_bufs.append(eng.zeros(stage.ram_slots.size))
-            self._def_bufs.append(eng.zeros(stage.def_gidx.size))
-            self._gwn_invs.append(col(stage.gwn_inv))
-            self._ram_invs.append(col(stage.ram_inv))
-            self._def_invs.append(col(stage.def_inv))
-            self._read_views.append(self.trace[: stage.read_gidx.size])
-            waves = []
-            for wave in stage.waves:
-                n = wave.count
-                ab = self._wave_buf[: 2 * n]
-                waves.append(
-                    (
-                        wave.gather,
-                        col(wave.flips),
-                        ab,
-                        ab[:n],
-                        ab[n:],
-                        self.trace[wave.out_offset : wave.out_offset + n],
-                    )
-                )
-            self._wave_exec.append(waves)
-
-    def _run_cycle_compiled(self):
-        """One cycle through the backend's per-stage kernels.
-
-        The kernels see 2-D ``(n, K)`` planes; single-word batches pass
-        zero-copy reshape views.  Phase attribution is coarser than the
-        numpy path — a fused native stage has no gather/fold boundary —
-        so kernel time lands in ``fold``.
-        """
-        fused = self.fused
-        interp = self.interp
-        profile = interp.profile
-        times = interp.phase_times
-        gstate = interp.global_state
-        if self._plane:
-            g2, t2, a2 = gstate, self.trace, self.arena
-        else:
-            g2 = gstate.reshape(-1, 1)
-            t2 = self.trace.reshape(-1, 1)
-            a2 = self.arena.reshape(-1, 1)
-        deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        for sidx, stage in enumerate(fused.stages):
-            if profile:
-                t0 = time.perf_counter()
-            self._compiled[sidx](g2, t2, a2, self._def_bufs2d[sidx])
-            if profile:
-                t1 = time.perf_counter()
-                times["fold"] += t1 - t0
-                t0 = t1
-            if stage.def_gidx.size:
-                deferred.append((stage.def_gidx, self._def_flat[sidx], None))
-            for pidx, op in stage.ramops:
-                deferred.extend(interp._run_ramop(op, self._views[pidx]))
-            if profile:
-                times["commit"] += time.perf_counter() - t0
-        if self._def_const is not None:
-            deferred.append(self._def_const)
-        return deferred
+        views = [
+            self.arena[base : base + span]
+            for base, span in zip(fused.arena_base, fused.arena_span)
+        ]
+        compile_stage = interp.backend.compile_stage
+        #: per stage: (runner, deferred targets or None, [(RAM op, arena view)])
+        self._stages = [
+            (
+                compile_stage(stage, self.trace, self.arena, scratch),
+                stage.def_gidx if stage.def_gidx.size else None,
+                [(op, views[pidx]) for pidx, op in stage.ramops],
+            )
+            for stage in fused.stages
+        ]
 
     def run_cycle(self) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
-        if self._compiled is not None:
-            return self._run_cycle_compiled()
-        fused = self.fused
-        trace = self.trace
-        arena = self.arena
         interp = self.interp
         gstate = interp.global_state
-        profile = interp.profile
-        times = interp.phase_times
+        times = interp.phase_times if interp.profile else None
+        run_ramop = interp._run_ramop
         deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        for sidx, stage in enumerate(fused.stages):
-            if profile:
+        for run, def_gidx, ramops in self._stages:
+            values = run(gstate, times)
+            if times is not None:
                 t0 = time.perf_counter()
-            if stage.read_gidx.size:
-                gstate.take(stage.read_gidx, 0, self._read_views[sidx], "clip")
-            if profile:
-                t1 = time.perf_counter()
-                times["gather"] += t1 - t0
-                t0 = t1
-            for gather, flips, ab, a, b, out in self._wave_exec[sidx]:
-                trace.take(gather, 0, ab, "clip")
-                if flips is not None:
-                    np.bitwise_xor(ab, flips, out=ab)
-                np.bitwise_and(a, b, out=out)
-            if profile:
-                t1 = time.perf_counter()
-                times["fold"] += t1 - t0
-                t0 = t1
-            if stage.gwn_gidx.size:
-                buf = self._gwn_bufs[sidx]
-                nd = stage.gwn_src.size
-                if nd:
-                    trace.take(stage.gwn_src, 0, buf[:nd], "clip")
-                    inv = self._gwn_invs[sidx]
-                    if inv is not None:
-                        np.bitwise_xor(buf[:nd], inv, out=buf[:nd])
-                gstate[stage.gwn_gidx] = buf
-            if stage.ram_slots.size:
-                buf = self._ram_bufs[sidx]
-                trace.take(stage.ram_src, 0, buf, "clip")
-                inv = self._ram_invs[sidx]
-                if inv is not None:
-                    np.bitwise_xor(buf, inv, out=buf)
-                arena[stage.ram_slots] = buf
-            if stage.def_gidx.size:
-                buf = self._def_bufs[sidx]
-                trace.take(stage.def_src, 0, buf, "clip")
-                inv = self._def_invs[sidx]
-                if inv is not None:
-                    np.bitwise_xor(buf, inv, out=buf)
-                deferred.append((stage.def_gidx, buf, None))
-            for pidx, op in stage.ramops:
-                deferred.extend(interp._run_ramop(op, self._views[pidx]))
-            if profile:
+            if def_gidx is not None:
+                deferred.append((def_gidx, values, None))
+            for op, view in ramops:
+                deferred.extend(run_ramop(op, view))
+            if times is not None:
                 times["commit"] += time.perf_counter() - t0
         if self._def_const is not None:
             deferred.append(self._def_const)

@@ -212,9 +212,9 @@ class GemInterpreter:
     lightweight wall-clock timers per phase in :attr:`phase_times`
     (``inject`` / ``gather`` / ``fold`` / ``commit``).
 
-    ``backend`` selects the array backend of the fused path
-    (:mod:`repro.core.backend`): ``"numpy"`` (default), ``"numba"``
-    (per-stage JIT kernels), or ``"cupy"``; a name whose dependency is
+    ``backend`` selects the array backend that compiles the fused
+    path's stages (:mod:`repro.core.backend`): ``"numpy"`` (default) or
+    ``"numba"`` (per-stage JIT kernels); a name whose dependency is
     missing falls back to numpy with one warning per process.  The
     legacy path is numpy-only — a non-numpy backend downgrades with a
     log line when fusion is unavailable.

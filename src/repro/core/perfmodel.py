@@ -236,7 +236,7 @@ def dispatch_amortization(counters) -> dict:
     Both execution modes accumulate the per-cycle array-op counts of the
     legacy per-partition loop (``array_ops``) and the stage-fused DAG
     executor (``fused_array_ops``); their ratio is how many legacy NumPy
-    dispatches (≈ GPU kernel launches for a CuPy backend) each fused
+    dispatches (≈ kernel launches on a GPU) each fused
     whole-stage op replaces.
     """
     per_cycle = counters.per_cycle()

@@ -57,9 +57,17 @@ class BackendUnavailableError(GemError):
     """The requested execution backend cannot be loaded.
 
     Raised by :func:`repro.core.backend.resolve_backend` when a
-    backend's runtime dependency (numba, cupy + a visible GPU) is
-    missing.  Callers that pass ``strict=False`` get the warn-once
-    numpy fallback instead of this error.
+    backend's runtime dependency (numba) is missing.  Callers that pass
+    ``strict=False`` get the warn-once numpy fallback instead of this
+    error.
+    """
+
+
+class UnknownBackendError(BackendUnavailableError, ValueError):
+    """A backend name outside :data:`repro.core.backend.BACKEND_NAMES`.
+
+    A misspelt name is a usage error, never a missing dependency: it
+    raises even where an unavailable backend would fall back or skip.
     """
 
 
@@ -127,4 +135,14 @@ class UnmappableError(GemError):
 
     The mappability predicate of Algorithm 1: partition merging probes
     placements and catches this to reject a merge.
+    """
+
+
+class CoreWidthError(UnmappableError, ValueError):
+    """A boomerang core width no FOLD instruction can encode.
+
+    Raised when :class:`repro.core.boomerang.BoomerangConfig` is built
+    with ``width_log2`` outside ``1..MAX_WIDTH_LOG2``: no design maps
+    onto such a core, so a knob sweep records the candidate as
+    unmappable.
     """

@@ -48,7 +48,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.backend import resolve_backend
+from repro.core.backend import check_backend_names, resolve_backend
 from repro.core.bitstream import GemProgram, mutate_fold_constant
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import CompiledDesign, GemCompiler, GemConfig, GemSimulator
@@ -126,8 +126,9 @@ class OracleConfig:
     #: lane batches beyond 1 run fused-vs-legacy per-lane lockstep
     batches: tuple[int, ...] = (1, 16, 64)
     #: execution backends enrolled as extra fused-path engines at the
-    #: lane batches ("numpy" is the baseline; unavailable ones skip
-    #: with a coverage marker rather than fall back silently)
+    #: lane batches ("numpy" is the baseline; a known backend whose
+    #: dependency is missing skips with a coverage marker rather than
+    #: fall back silently; an unknown name raises UnknownBackendError)
     backends: tuple[str, ...] = ("numpy",)
     compile_profile: str = "small"
     #: fault descriptor, e.g. ``{"kind": "fold", "index": 0, "bit": 3}``
@@ -143,6 +144,9 @@ class OracleConfig:
     #: continue from a serialization round-trip of the checkpoint — the
     #: mid-run checkpoint/resume lockstep check (None = off)
     checkpoint_cycle: int | None = None
+
+    def __post_init__(self) -> None:
+        check_backend_names(self.backends)
 
     def to_json(self) -> dict:
         return {

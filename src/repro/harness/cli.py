@@ -102,6 +102,7 @@ def main_compile(argv: list[str] | None = None) -> int:
 
 
 def main_run(argv: list[str] | None = None) -> int:
+    from repro.core.backend import BACKEND_NAMES
     from repro.harness.runner import DESIGNS, compile_design, design_workloads
 
     parser = argparse.ArgumentParser(prog="gem-run", description="Execute a workload on GEM")
@@ -120,10 +121,10 @@ def main_run(argv: list[str] | None = None) -> int:
         "per-partition interpreter loop (differential reference)",
     )
     parser.add_argument(
-        "--backend", choices=["numpy", "numba", "cupy"], default=None,
-        help="array backend for the fused path: numpy (default), numba "
-        "(JIT-compiled stage kernels), cupy (GPU). An unavailable "
-        "backend warns once and falls back to numpy",
+        "--backend", choices=BACKEND_NAMES, default=None,
+        help="array backend for the fused path: numpy (default) or numba "
+        "(JIT-compiled stage kernels). An unavailable backend warns once "
+        "and falls back to numpy",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -856,8 +857,16 @@ def main_fuzz(argv: list[str] | None = None) -> int:
     """Differential fuzzing: generate/cross-check/shrink (docs/FUZZING.md)."""
     import json
 
+    from repro.core.backend import check_backend_names
+    from repro.errors import UnknownBackendError
     from repro.fuzz import PROFILES, replay_repro, run_fuzz
     from repro.fuzz.corpus import Corpus
+
+    def backend_list(text: str) -> tuple[str, ...]:
+        try:
+            return check_backend_names(b.strip() for b in text.split(",") if b.strip())
+        except UnknownBackendError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     parser = argparse.ArgumentParser(prog="gem-fuzz", description=main_fuzz.__doc__)
     _add_log_level(parser)
@@ -877,7 +886,7 @@ def main_fuzz(argv: list[str] | None = None) -> int:
         "width, 128+ for multi-word lane planes)",
     )
     p_run.add_argument(
-        "--backends", default="numpy", metavar="B1,B2",
+        "--backends", type=backend_list, default="numpy", metavar="B1,B2",
         help="execution backends enrolled as extra fused-path oracle "
         "engines (default numpy; unavailable ones are skipped with a "
         "backend-skip coverage marker)",
@@ -979,7 +988,7 @@ def main_fuzz(argv: list[str] | None = None) -> int:
         profiles=args.profiles.split(",") if args.profiles else None,
         cycles=args.cycles,
         batches=tuple(int(b) for b in args.batches.split(",")),
-        backends=tuple(b.strip() for b in args.backends.split(",") if b.strip()),
+        backends=args.backends,
         inject=inject,
         shrink_failures=not args.no_shrink,
         shrink_budget=args.shrink_budget,
@@ -1015,6 +1024,7 @@ def main_probe(argv: list[str] | None = None) -> int:
     """Signal-level probes: list nets, watch values, dump waves, profile activity."""
     import json
 
+    from repro.core.backend import BACKEND_NAMES
     from repro.errors import ProbeError
     from repro.harness.runner import DESIGNS, compile_design, design_workloads
 
@@ -1030,7 +1040,7 @@ def main_probe(argv: list[str] | None = None) -> int:
             p.add_argument("--batch", type=int, default=1, metavar="N",
                            help="stimulus lanes packed per state word (docs/ENGINE.md)")
             p.add_argument("--engine-mode", choices=["fused", "legacy"], default="fused")
-            p.add_argument("--backend", choices=["numpy", "numba", "cupy"], default=None)
+            p.add_argument("--backend", choices=BACKEND_NAMES, default=None)
         p.add_argument(
             "--nets", default=None, metavar="GLOBS",
             help="comma-separated net-name globs or the group selectors "

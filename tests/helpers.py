@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from repro.core.backend import ArrayBackend, NumpyBackend
 from repro.rtl.builder import CircuitBuilder, Value
 from repro.rtl.ir import Circuit
 
@@ -148,3 +149,23 @@ def lockstep(engines: dict[str, object], stimuli: list[dict[str, int]]) -> None:
                 f"cycle {cycle}: {name} diverged from {names[0]}: "
                 f"{outs[name]} != {reference} on inputs {vec}"
             )
+
+
+class RecordingBackend(ArrayBackend):
+    """The numpy stage runner under another name, counting compiles.
+
+    Every stage the executor compiles goes through
+    :meth:`compile_stage`, so ``compiled`` proves the backend seam is
+    the only way stages are built — and a run is bit-identical to plain
+    numpy by construction, which lets compiled-backend plumbing
+    (oracle enrollment, cross-backend checkpoints) run without numba.
+    """
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.compiled = 0
+
+    def compile_stage(self, stage, trace, arena, scratch):
+        self.compiled += 1
+        return NumpyBackend().compile_stage(stage, trace, arena, scratch)

@@ -23,12 +23,14 @@ from repro.core.autotune import (
     autotune,
     design_crc,
 )
-from repro.core.boomerang import BoomerangConfig
+from repro.core.boomerang import MAX_WIDTH_LOG2, BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.depth_opt import optimize
+from repro.core.isa import Opcode, instruction_words
 from repro.core.partition import PartitionConfig, partition_design
 from repro.core.placement import RefineConfig, place_partition, placement_cost
 from repro.core.synthesis import synthesize
+from repro.errors import CoreWidthError, GemError, UnmappableError
 from repro.obs.metrics import REGISTRY
 from tests.helpers import random_circuit, random_vectors
 
@@ -199,6 +201,30 @@ class TestAutotune:
         assert "ok" in statuses
         assert result.winner_digest  # a mappable winner was still chosen
 
+    def test_unencodable_core_width_recorded_unmappable(self, tiny, tmp_path):
+        _, synth = tiny
+        # width_log2=14 cannot be encoded (a layer's fold constants
+        # overflow the FOLD instruction): rejected when the config is
+        # built, so the sweep records it as unmappable, never as an error.
+        space = KnobSpace(
+            gates_per_partition=(400,),
+            num_stages=(2,),
+            width_log2=(13, 14),
+            sa_iterations=(0,),
+        )
+        result = autotune(
+            synth,
+            name="tiny-w14",
+            base=_tiny_config(),
+            space=space,
+            opts=AutotuneConfig(budget=4, measure_cycles=0, cache_dir=str(tmp_path)),
+        )
+        by_width = {c.knobs.get("width_log2"): c for c in result.candidates}
+        assert by_width[14].status == "unmappable"
+        assert "width_log2=14" in by_width[14].error
+        assert by_width[13].status == "ok"
+        assert all(c.status != "error" for c in result.candidates)
+
     def test_measured_winner_never_below_default(self, tiny, tmp_path):
         circ, synth = tiny
         stimuli = random_vectors(circ, 23, cycles=12)
@@ -294,3 +320,23 @@ class TestAutotune:
         loaded = AutotuneResult.from_payload(result.to_payload(), result.cache_path)
         assert loaded.winner_knobs == result.winner_knobs
         assert loaded.winning_config(_tiny_config()).digest() == result.winner_digest
+
+
+class TestCoreWidthBound:
+    """``BoomerangConfig`` accepts only widths one FOLD instruction encodes."""
+
+    def test_bound_follows_the_fold_instruction(self):
+        payload_bits = 32 * (instruction_words(Opcode.FOLD) - 1)
+        # a 2^w-leaf layer folds 2^w - 1 positions, three constants each
+        assert 3 * ((1 << MAX_WIDTH_LOG2) - 1) <= payload_bits
+        assert 3 * ((2 << MAX_WIDTH_LOG2) - 1) > payload_bits
+        assert MAX_WIDTH_LOG2 == 13
+        assert BoomerangConfig(width_log2=MAX_WIDTH_LOG2).width == 8192
+        assert BoomerangConfig(width_log2=1).width == 2
+
+    @pytest.mark.parametrize("width_log2", [-1, 0, 14, 16])
+    def test_out_of_range_rejected_when_built(self, width_log2):
+        with pytest.raises(CoreWidthError, match=f"width_log2={width_log2}") as exc:
+            BoomerangConfig(width_log2=width_log2)
+        assert isinstance(exc.value, UnmappableError)
+        assert isinstance(exc.value, GemError)

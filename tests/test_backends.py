@@ -6,9 +6,10 @@ The contract under test (docs/ENGINE.md §6):
   with exactly one warning per process when a dependency is missing
   (mirroring the ``FusionError`` → legacy fallback regression pin in
   test_regressions.py), and hard-fails only under ``strict=True``;
-* the generic ``ArrayBackend.compile_stage`` path — the reference every
-  compiled backend mirrors — is bit-identical to the hand-tuned numpy
-  executor at every lane geometry;
+* the executor builds every fused stage through the backend's
+  ``compile_stage`` — the only seam — and a run through it is
+  bit-identical to plain numpy at every lane geometry, with the numpy
+  gather/fold/commit phase split intact under profiling;
 * the numba backend (when installed) is bit-identical too.
 """
 
@@ -28,8 +29,8 @@ from repro.core.backend import (
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.partition import PartitionConfig
-from repro.errors import BackendUnavailableError, GemError
-from tests.helpers import random_circuit
+from repro.errors import BackendUnavailableError, GemError, UnknownBackendError
+from tests.helpers import RecordingBackend, random_circuit
 
 try:
     import numba  # noqa: F401
@@ -56,26 +57,20 @@ def _design(seed=7, n_ops=40, with_memory=False):
     ).compile(circuit)
 
 
-class RefBackend(ArrayBackend):
-    """The generic compile_stage path under a non-numpy name, so the
-    executor takes the compiled-kernel branch instead of its hot loop."""
-
-    name = "ref"
-
-
 class TestResolution:
     def test_none_means_numpy(self):
         assert resolve_backend(None).name == "numpy"
         assert isinstance(resolve_backend(None), NumpyBackend)
 
     def test_instance_passes_through(self):
-        inst = RefBackend()
+        inst = RecordingBackend()
         assert resolve_backend(inst) is inst
 
     def test_unknown_name_raises_typed(self):
         with pytest.raises(BackendUnavailableError) as exc:
             resolve_backend("tpu")
         assert isinstance(exc.value, GemError)
+        assert isinstance(exc.value, UnknownBackendError)
         assert "tpu" in str(exc.value)
 
     def test_instances_are_cached(self):
@@ -83,6 +78,11 @@ class TestResolution:
 
     def test_available_backends_always_has_numpy(self):
         assert "numpy" in available_backends()
+
+    def test_cupy_is_not_a_backend(self):
+        assert backend_mod.BACKEND_NAMES == ("numpy", "numba")
+        with pytest.raises(UnknownBackendError):
+            resolve_backend("cupy")
 
     @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
     def test_strict_raises_when_numba_missing(self):
@@ -122,20 +122,25 @@ class TestFallbackWarnsOnce:
     def test_legacy_mode_downgrades_compiled_backend(self, caplog):
         design = _design()
         with caplog.at_level(logging.INFO, logger="repro.core.interpreter"):
-            sim = design.simulator(mode="legacy", backend=RefBackend())
+            sim = design.simulator(mode="legacy", backend=RecordingBackend())
         assert sim.mode == "legacy"
         assert sim.backend.name == "numpy"
 
 
 class TestCompiledKernelEquivalence:
-    """compile_stage schedules must match the numpy hot loop bit-for-bit."""
+    """Stages compile only through ``compile_stage``, bit-for-bit."""
 
     @pytest.mark.parametrize("batch", [1, 3, 64, 128, 256])
     def test_generic_compile_stage_matches_numpy(self, batch):
+        """A backend reached only through the generic
+        ``ArrayBackend.compile_stage`` seam compiles every fused stage and
+        runs bit-identically to plain numpy (256 lanes = K=4 planes)."""
         design = _design(seed=11, n_ops=60, with_memory=True)
         ref = design.simulator(batch=batch, backend="numpy")
-        dut = design.simulator(batch=batch, backend=RefBackend())
-        assert dut.mode == "fused"
+        backend = RecordingBackend()
+        dut = design.simulator(batch=batch, backend=backend)
+        assert dut.mode == "fused" and dut.backend is backend
+        assert backend.compiled == len(dut._fused.stages) >= 1
         rng = np.random.default_rng(batch)
         names = list(ref._pi_tables)
         for _ in range(24):
@@ -149,6 +154,16 @@ class TestCompiledKernelEquivalence:
         assert np.array_equal(ref.global_state, dut.global_state)
         for a, b in zip(ref.ram_arrays, dut.ram_arrays):
             assert np.array_equal(a, b)
+
+    def test_profile_keeps_numpy_phase_split(self):
+        """The numpy runner times gather, fold and commit separately at
+        batch 1 (perfbench reads each from ``phase_times``)."""
+        design = _design(seed=11, n_ops=60, with_memory=True)
+        sim = design.simulator(batch=1, profile=True)
+        for _ in range(8):
+            sim.step({})
+        for phase in ("gather", "fold", "commit"):
+            assert sim.phase_times[phase] > 0.0, phase
 
     @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
     @pytest.mark.parametrize("batch", [1, 64, 128])
@@ -175,9 +190,9 @@ class TestOracleEnrollment:
         from repro.fuzz.designgen import generate_design, random_stimuli
         from repro.fuzz.oracle import OracleConfig, run_oracle
 
-        # stand the generic compile_stage path in for numba so the
-        # backend-DUT lockstep runs without the real dependency
-        class StandIn(ArrayBackend):
+        # stand the numpy stage runner in for numba so the backend-DUT
+        # lockstep runs without the real dependency
+        class StandIn(RecordingBackend):
             name = "numba"
 
         monkeypatch.setitem(backend_mod._CLASSES, "numba", StandIn)
@@ -191,19 +206,32 @@ class TestOracleEnrollment:
         assert result.ok
         assert "backend:numba" in result.coverage
 
-    def test_unavailable_backend_skips_with_marker(self):
+    def test_unavailable_backend_skips_with_marker(self, monkeypatch):
         from repro.fuzz.designgen import generate_design, random_stimuli
         from repro.fuzz.oracle import OracleConfig, run_oracle
 
+        monkeypatch.setitem(
+            backend_mod._CLASSES, "numba", TestFallbackWarnsOnce._Unavailable
+        )
         gen = generate_design(99, "mixed")
         stimuli = random_stimuli(gen.spec, 99, 8)
         result = run_oracle(
             gen.spec,
             stimuli,
-            OracleConfig(batches=(1, 16), backends=("numpy", "cupy")),
+            OracleConfig(batches=(1, 16), backends=("numpy", "numba")),
         )
         assert result.ok
-        assert "backend-skip:cupy" in result.coverage
+        assert "backend-skip:numba" in result.coverage
+        assert "backend:numba" not in result.coverage
+
+    def test_unknown_backend_name_raises(self):
+        """A misspelt backend is a typed error, never a silent skip."""
+        from repro.fuzz.oracle import OracleConfig
+
+        with pytest.raises(UnknownBackendError, match="numab"):
+            OracleConfig(backends=("numpy", "numab"))
+        with pytest.raises(UnknownBackendError):
+            OracleConfig.from_json({"backends": ["numpy", "cupy"]})
 
     def test_config_round_trips_backends(self):
         from repro.fuzz.oracle import OracleConfig

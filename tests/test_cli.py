@@ -139,6 +139,31 @@ class TestDispatcher:
             cli.main(["frobnicate"])
 
 
+class TestBackendChoices:
+    """``--backend``/``--backends`` accept exactly ``BACKEND_NAMES``: an
+    unknown name is a usage error before anything compiles."""
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (cli.main_run, ["openpiton1", "--backend", "cupy"]),
+            (cli.main_probe, ["activity", "openpiton1", "--backend", "cupy"]),
+            (cli.main_probe, ["watch", "openpiton1", "--backend", "cupy"]),
+        ],
+    )
+    def test_cupy_rejected_at_parse_time(self, capsys, main, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "invalid choice: 'cupy'" in capsys.readouterr().err
+
+    def test_fuzz_misspelt_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main_fuzz(["run", "--iters", "1", "--backends", "numpy,numab"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unknown backend 'numab'" in capsys.readouterr().err
+
+
 class TestResilienceExitCodes:
     """Satellite: distinct nonzero exit codes for the distinct failure
     classes (fault-exhausted vs timeout vs corrupt-resume)."""

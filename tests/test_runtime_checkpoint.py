@@ -30,7 +30,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
     snapshot,
 )
-from tests.helpers import random_circuit, random_vectors
+from tests.helpers import RecordingBackend, random_circuit, random_vectors
 
 
 def _compile(seed: int, **kwargs):
@@ -533,13 +533,8 @@ class TestLanePlaneCheckpoints:
             checkpoint_from_words(seal([header, *sections[1:]]))
 
     def test_cross_backend_resume_bit_identical(self, tmp_path):
-        """A checkpoint saved under the numpy hot loop resumes under a
-        compiled backend (and vice versa) with identical state."""
-        from repro.core.backend import ArrayBackend
-
-        class RefBackend(ArrayBackend):
-            name = "ref"
-
+        """A checkpoint saved under plain numpy resumes under another
+        backend (and vice versa) with identical state."""
         circuit, design = _compile(35, with_memory=True)
         batch, cycles = 128, 16
         streams = self._lane_vectors(circuit, batch, cycles, seed=80)
@@ -553,12 +548,13 @@ class TestLanePlaneCheckpoints:
         save_checkpoint(snapshot(saver), path)
 
         compiled = restore(
-            design.simulator(batch=batch, backend=RefBackend()), load_checkpoint(path)
+            design.simulator(batch=batch, backend=RecordingBackend()),
+            load_checkpoint(path),
         )
         assert compiled.run_lanes(vecs[9:]) == golden_rows[9:]
         assert np.array_equal(compiled.global_state, golden.global_state)
 
-        # and back: state written under the compiled path resumes on numpy
+        # and back: state written under the other backend resumes on numpy
         save_checkpoint(snapshot(compiled), path)
         back = restore(design.simulator(batch=batch), load_checkpoint(path))
         assert np.array_equal(back.global_state, golden.global_state)
