@@ -35,6 +35,7 @@ from repro.fuzz.oracle import (
     OracleConfig,
     OracleResult,
     _coerce_stimuli,
+    _rotated,
     run_oracle,
 )
 from repro.fuzz.shrink import shrink
@@ -210,7 +211,14 @@ class Corpus:
 
 def _dump_divergence_waves(spec, stimuli, divergence, config, path: str) -> str:
     """Probed re-run of a failing case; dumps the VCD window around the
-    first divergent cycle (``gem-fuzz run --wave-dir``)."""
+    first divergent cycle (``gem-fuzz run --wave-dir``).
+
+    The re-run is the engine that diverged: its mode and backend (parsed
+    from ``divergence.engine``, e.g. ``legacy`` or ``fused[numba]``), at
+    the divergence's batch, driven with the oracle's rotated per-lane
+    streams, and dumped at the divergent lane.  The word/simref engines
+    have no probe taps; their divergences dump the fused engine.
+    """
     from repro.core.compiler import GemCompiler
     from repro.fuzz.oracle import compile_profile
     from repro.obs.probe import dump_divergence_waves
@@ -218,7 +226,22 @@ def _dump_divergence_waves(spec, stimuli, divergence, config, path: str) -> str:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     compiled = GemCompiler(compile_profile(config.compile_profile)).compile(spec.build())
     coerced = _coerce_stimuli(spec, stimuli)
-    summary = dump_divergence_waves(compiled, coerced, divergence.cycle, path)
+    mode, _, backend = divergence.engine.partition("[")
+    if mode not in ("fused", "legacy"):
+        mode = "fused"
+    if divergence.batch > 1:
+        streams = [_rotated(coerced, lane) for lane in range(divergence.batch)]
+        coerced = [list(vecs) for vecs in zip(*streams)]
+    summary = dump_divergence_waves(
+        compiled,
+        coerced,
+        divergence.cycle,
+        path,
+        engine_mode=mode,
+        backend=backend.rstrip("]") or None,
+        batch=divergence.batch,
+        lane=divergence.lane or 0,
+    )
     logger.warning(
         "divergence waveform: %s (%d probed cycles around cycle %d)",
         path, summary["cycles"], divergence.cycle,

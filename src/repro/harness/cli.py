@@ -68,6 +68,30 @@ def _add_log_level(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _cycle_count(text: str) -> int:
+    """argparse type for ``--max-cycles``: a positive cycle count."""
+    try:
+        cycles = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if cycles < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive cycle count, got {cycles}")
+    return cycles
+
+
+def _batch_size(text: str) -> int:
+    """argparse type for ``--batch``: a lane batch the engine accepts
+    (:func:`~repro.core.engine.validate_batch`), checked before any compile."""
+    from repro.core.engine import validate_batch
+
+    try:
+        batch = int(text)
+        validate_batch(batch)
+    except ValueError as exc:  # LaneConfigError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return batch
+
+
 def _setup_logging(args: argparse.Namespace) -> None:
     level = getattr(logging, getattr(args, "log_level", "warning").upper())
     logging.basicConfig(
@@ -108,17 +132,12 @@ def main_run(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="gem-run", description="Execute a workload on GEM")
     parser.add_argument("design", choices=sorted(DESIGNS))
     parser.add_argument("workload", nargs="?", help="workload name (default: first)")
-    parser.add_argument("--max-cycles", type=int, default=None)
+    parser.add_argument("--max-cycles", type=_cycle_count, default=None)
     parser.add_argument(
-        "--batch", type=int, default=1, metavar="N",
+        "--batch", type=_batch_size, default=1, metavar="N",
         help="pack N stimulus lanes into the state's lane planes (1..64, "
         "or a whole number of 64-lane words up to 4096); all lanes see "
         "the workload stimuli, outputs report lane 0 (docs/ENGINE.md)",
-    )
-    parser.add_argument(
-        "--engine-mode", choices=["fused", "legacy"], default="fused",
-        help="fused: stage-fused array executor (default); legacy: "
-        "per-partition interpreter loop (differential reference)",
     )
     parser.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
@@ -403,12 +422,32 @@ def _write_run_report(args, wl, **kwargs) -> None:
         design=args.design,
         workload=wl.name,
         batch=args.batch,
-        engine_mode=args.engine_mode,
         extras=extras,
         **kwargs,
     )
     write_report(report, args.report_out)
     print(f"run report written to {args.report_out}")
+
+
+def _judge_outputs(args, wl, outputs: list[dict[str, int]]) -> int:
+    """Judge a ``gem-run``'s lane-0 output stream (plain and supervised).
+
+    Only whole-workload runs from cycle 0 are compared with the
+    workload's expected observable stream; a mismatch exits
+    :data:`EXIT_MISMATCH`.  Truncated and resumed runs see only a prefix
+    or a tail of that stream, and a 4-state x-reset run may legitimately
+    carry X, so those show their final outputs instead.
+    """
+    whole_workload = args.max_cycles is None or args.max_cycles >= len(wl.stimuli)
+    known_run = not (args.values == 4 and args.x_reset)
+    if wl.expected_out is None or not whole_workload or args.resume is not None or not known_run:
+        shown = dict(list(outputs[-1].items())[:6]) if outputs else {}
+        print(f"final outputs: {shown}")
+        return EXIT_OK
+    observed = [out[wl.out_port] for out in outputs if out.get(wl.valid_port)]
+    status = "MATCH" if observed == wl.expected_out else "MISMATCH"
+    print(f"observable output stream: {observed} [{status}]")
+    return EXIT_OK if status == "MATCH" else EXIT_MISMATCH
 
 
 def _run_plain(args, wl, tap=None) -> int:
@@ -425,22 +464,12 @@ def _run_plain(args, wl, tap=None) -> int:
         x_reset=args.x_reset,
         x_memory=args.x_reset,
     )
-    sim = design.simulator(
-        batch=args.batch,
-        mode=args.engine_mode,
-        backend=args.backend,
-        profile=args.profile,
-    )
+    sim = design.simulator(batch=args.batch, backend=args.backend, profile=args.profile)
     if tap is not None:
         tap.attach(sim)
-    stimuli = wl.stimuli[: args.max_cycles] if args.max_cycles else wl.stimuli
+    stimuli = wl.stimuli[: args.max_cycles]
     t0 = time.time()
-    observed = []
-    last = {}
-    for vec in stimuli:
-        last = sim.step(vec)
-        if wl.valid_port in last and last.get(wl.valid_port):
-            observed.append(last[wl.out_port])
+    outputs = [sim.step(vec) for vec in stimuli]
     elapsed = time.time() - t0
     lanes = f" x {args.batch} lanes" if args.batch > 1 else ""
     vals = " 4-state" if args.values == 4 else ""
@@ -465,6 +494,7 @@ def _run_plain(args, wl, tap=None) -> int:
     if args.report_out:
         _write_run_report(
             args, wl,
+            engine_mode=sim.mode,
             cycles=len(stimuli),
             elapsed_s=elapsed,
             counters=asdict(sim.counters),
@@ -475,15 +505,7 @@ def _run_plain(args, wl, tap=None) -> int:
                 **probe_extras,
             },
         )
-    if wl.expected_out is not None and not (args.values == 4 and args.x_reset):
-        status = "MATCH" if observed == wl.expected_out else "MISMATCH"
-        print(f"observable output stream: {observed} [{status}]")
-    else:
-        # With --values 4 under x-reset the expected 2-state stream does
-        # not apply (outputs may legitimately carry X), so just show state.
-        shown = {k: v for k, v in list(last.items())[:6]}
-        print(f"final outputs: {shown}")
-    return 0
+    return _judge_outputs(args, wl, outputs)
 
 
 def _run_supervised(args, wl, tap=None) -> int:
@@ -507,7 +529,6 @@ def _run_supervised(args, wl, tap=None) -> int:
             scrub_every=args.scrub_every if args.scrub_every is not None else 1,
             resume=args.resume if args.resume is not None else False,
             batch=args.batch,
-            engine_mode=args.engine_mode,
             backend=args.backend,
             profile=args.profile,
             deadline_s=args.deadline,
@@ -535,6 +556,7 @@ def _run_supervised(args, wl, tap=None) -> int:
     if args.report_out:
         _write_run_report(
             args, wl,
+            engine_mode=result.mode,
             cycles=result.cycles,
             elapsed_s=elapsed,
             phase_times=dict(result.phase_times),
@@ -551,18 +573,9 @@ def _run_supervised(args, wl, tap=None) -> int:
                 "quarantined_lanes": result.quarantined_lanes,
             },
         )
-    observed = [
-        out[wl.out_port]
-        for out in result.outputs
-        if wl.valid_port in out and out.get(wl.valid_port)
-    ]
-    whole_workload = args.max_cycles is None or args.max_cycles >= len(wl.stimuli)
-    known_run = not (args.values == 4 and args.x_reset)
-    if wl.expected_out is not None and whole_workload and args.resume is None and known_run:
-        status = "MATCH" if observed == wl.expected_out else "MISMATCH"
-        print(f"observable output stream: {observed} [{status}]")
-        if status == "MISMATCH":
-            return EXIT_MISMATCH
+    rc = _judge_outputs(args, wl, result.outputs)
+    if rc != EXIT_OK:
+        return rc
     if result.degraded:
         return EXIT_TIMEOUT if result.timeouts else EXIT_DEGRADED
     return EXIT_OK
@@ -581,22 +594,17 @@ def main_faultcampaign(argv: list[str] | None = None) -> int:
     parser.add_argument("--trials", type=int, default=10,
                         help="faults injected per fault class (default 10)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-cycles", type=int, default=64)
+    parser.add_argument("--max-cycles", type=_cycle_count, default=64)
     parser.add_argument("--checkpoint-every", type=int, default=8)
     parser.add_argument("--scrub-every", type=int, default=1)
     parser.add_argument("--max-retries", type=int, default=3)
-    parser.add_argument(
-        "--sequential", action="store_true",
-        help="one supervised run per trial (legacy) instead of lane-batched "
-        "trials sharing a single run per fault class",
-    )
     _add_log_level(parser)
     args = parser.parse_args(argv)
     _setup_logging(args)
     workloads = design_workloads(args.design)
     wl = workloads[args.workload or next(iter(workloads))]
     design = compile_design(args.design)
-    stimuli = wl.stimuli[: args.max_cycles] if args.max_cycles else wl.stimuli
+    stimuli = wl.stimuli[: args.max_cycles]
     report = run_campaign(
         design,
         stimuli,
@@ -606,7 +614,6 @@ def main_faultcampaign(argv: list[str] | None = None) -> int:
         checkpoint_every=args.checkpoint_every,
         scrub_every=args.scrub_every,
         max_retries=args.max_retries,
-        batched=not args.sequential,
     )
     print(report.summary())
     return 0 if report.passed else 1
@@ -716,7 +723,7 @@ def main_cosim(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="gem-cosim", description=main_cosim.__doc__)
     parser.add_argument("design", choices=sorted(DESIGNS))
     parser.add_argument("workload", nargs="?")
-    parser.add_argument("--max-cycles", type=int, default=None)
+    parser.add_argument("--max-cycles", type=_cycle_count, default=None)
     parser.add_argument("--keep-going", action="store_true", help="do not stop at the first divergence")
     parser.add_argument(
         "--dump-waves", default=None, metavar="FILE",
@@ -729,7 +736,7 @@ def main_cosim(argv: list[str] | None = None) -> int:
     workloads = design_workloads(args.design)
     wl = workloads[args.workload or next(iter(workloads))]
     design = compile_design(args.design)
-    stimuli = wl.stimuli[: args.max_cycles] if args.max_cycles else wl.stimuli
+    stimuli = wl.stimuli[: args.max_cycles]
     result = cosim(
         WordSim(Netlist(design_circuit(args.design))),
         design.simulator(),
@@ -1036,11 +1043,11 @@ def main_probe(argv: list[str] | None = None) -> int:
         p.add_argument("design", choices=sorted(DESIGNS))
         if workload:
             p.add_argument("workload", nargs="?", help="workload name (default: first)")
-            p.add_argument("--max-cycles", type=int, default=None)
-            p.add_argument("--batch", type=int, default=1, metavar="N",
+            p.add_argument("--max-cycles", type=_cycle_count, default=None)
+            p.add_argument("--batch", type=_batch_size, default=1, metavar="N",
                            help="stimulus lanes packed per state word (docs/ENGINE.md)")
-            p.add_argument("--engine-mode", choices=["fused", "legacy"], default="fused")
-            p.add_argument("--backend", choices=BACKEND_NAMES, default=None)
+            p.add_argument("--backend", choices=BACKEND_NAMES, default=None,
+                           help="array backend of the fused stage kernels")
         p.add_argument(
             "--nets", default=None, metavar="GLOBS",
             help="comma-separated net-name globs or the group selectors "
@@ -1113,7 +1120,7 @@ def _probe_command(args, json, compile_design, design_workloads) -> int:
 
     workloads = design_workloads(args.design)
     wl = workloads[args.workload or next(iter(workloads))]
-    stimuli = wl.stimuli[: args.max_cycles] if args.max_cycles else wl.stimuli
+    stimuli = wl.stimuli[: args.max_cycles]
     plan = build_probe_plan(design, args.nets)
     lane = getattr(args, "lane", 0)
     if not 0 <= lane < args.batch:
@@ -1125,11 +1132,9 @@ def _probe_command(args, json, compile_design, design_workloads) -> int:
         ring = WaveRing(plan, capacity=max(capacity, 1))
         tap = ProbeTap(plan, [ring])
     else:  # activity
-        acc = ActivityAccumulator(plan, backend=args.backend)
+        acc = ActivityAccumulator(plan)
         tap = ProbeTap(plan, [acc])
-    sim = design.simulator(
-        batch=args.batch, mode=args.engine_mode, backend=args.backend
-    )
+    sim = design.simulator(batch=args.batch, backend=args.backend)
     tap.attach(sim)
     for vec in stimuli:
         sim.step(vec)
@@ -1185,10 +1190,6 @@ def main_chaos(argv: list[str] | None = None) -> int:
         help=f"scenarios to run (default: all of {sorted(SCENARIOS)})",
     )
     parser.add_argument(
-        "--engine-mode", choices=["fused", "legacy", "both"], default="fused",
-        help="engine mode(s) the scenarios drive (default fused)",
-    )
-    parser.add_argument(
         "--work-dir", default=None,
         help="scratch directory for checkpoint/cache fixtures "
         "(default: a private temp dir; keep it to inspect failures)",
@@ -1206,41 +1207,31 @@ def main_chaos(argv: list[str] | None = None) -> int:
         tuple(int(s) for s in args.seeds.split(",")) if args.seeds else SMOKE_SEEDS
     )
     scenarios = tuple(args.scenarios.split(",")) if args.scenarios else None
-    modes = ("fused", "legacy") if args.engine_mode == "both" else (args.engine_mode,)
-    outcomes = []
-    passed = True
-    for mode in modes:
-        try:
-            report = run_chaos(
-                seeds=seeds, scenarios=scenarios, engine_mode=mode, work_dir=args.work_dir
-            )
-        except ValueError as exc:  # unknown scenario name
-            print(f"error: {exc}")
-            return EXIT_USAGE
-        passed &= report.passed
-        if args.json:
-            outcomes.extend(
-                {
-                    "scenario": o.scenario,
-                    "seed": o.seed,
-                    "engine_mode": mode,
-                    "ok": o.ok,
-                    "detail": o.detail,
-                    "events": o.events,
-                }
-                for o in report.outcomes
-            )
-        else:
-            print(f"engine mode: {mode}")
-            print(report.summary())
+    try:
+        report = run_chaos(seeds=seeds, scenarios=scenarios, work_dir=args.work_dir)
+    except ValueError as exc:  # unknown scenario name
+        print(f"error: {exc}")
+        return EXIT_USAGE
     if args.json:
-        print(json.dumps({"passed": passed, "outcomes": outcomes}, indent=1))
+        outcomes = [
+            {
+                "scenario": o.scenario,
+                "seed": o.seed,
+                "ok": o.ok,
+                "detail": o.detail,
+                "events": o.events,
+            }
+            for o in report.outcomes
+        ]
+        print(json.dumps({"passed": report.passed, "outcomes": outcomes}, indent=1))
+    else:
+        print(report.summary())
     if args.metrics_out:
         from repro.obs.metrics import REGISTRY
 
         with open(args.metrics_out, "w") as f:
             f.write(REGISTRY.to_prometheus())
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -341,7 +341,6 @@ def run_resilient(
     backoff_base: float = 0.0,
     resume: bool | str = False,
     batch: int = 1,
-    engine_mode: str = "fused",
     backend: str | None = None,
     profile: bool = False,
     deadline_s: float | None = None,
@@ -383,7 +382,7 @@ def run_resilient(
     )
     workloads = design_workloads(name)
     wl = workloads[workload or next(iter(workloads))]
-    stimuli = wl.stimuli[:max_cycles] if max_cycles else wl.stimuli
+    stimuli = wl.stimuli[:max_cycles]
     resume_from = None
     if resume:
         recovered = resolve_resume(resume, checkpoint_dir)
@@ -402,7 +401,6 @@ def run_resilient(
         max_retries=max_retries,
         backoff_base=backoff_base,
         batch=batch,
-        engine_mode=engine_mode,
         backend=backend,
         profile=profile,
         deadline=deadline,
@@ -439,7 +437,7 @@ def measure_batch_throughput(
     design = compile_design(name, config, values=values)
     workloads = design_workloads(name)
     wl = workloads[workload or next(iter(workloads))]
-    stimuli = wl.stimuli[:max_cycles] if max_cycles else wl.stimuli
+    stimuli = wl.stimuli[:max_cycles]
     sim = design.simulator(batch=batch, mode=engine_mode, backend=backend)
     t0 = time.perf_counter()
     for vec in stimuli:

@@ -437,7 +437,7 @@ class SimrefProbe:
 
 def dump_divergence_waves(
     compiled: "CompiledDesign",
-    stimuli: Sequence[Mapping[str, int]],
+    stimuli: Sequence[Mapping[str, int] | Sequence[Mapping[str, int]]],
     cycle: int,
     path: str,
     *,
@@ -455,7 +455,9 @@ def dump_divergence_waves(
     Called by the fuzz campaign and ``gem-cosim --dump-waves`` when an
     oracle mismatch is found: the probed re-run is deterministic, so the
     dumped window shows exactly the state the diverging engine computed
-    leading into and out of the bad cycle.  Returns the
+    leading into and out of the bad cycle.  Each ``stimuli`` entry is
+    one mapping broadcast to every lane, or ``batch`` per-lane mappings
+    (:meth:`GemInterpreter.step_lanes`).  Returns the
     :meth:`WaveRing.dump_vcd` summary plus the dump path.
     """
     plan = build_probe_plan(compiled, nets)
@@ -466,7 +468,7 @@ def dump_divergence_waves(
     sim = compiled.simulator(batch=batch, mode=engine_mode, backend=backend)
     tap.attach(sim)
     for vec in stimuli[:last]:
-        sim.step(vec)
+        sim.step_lanes(vec)
     summary = ring.dump_vcd(path, lane=lane)
     summary["path"] = path
     summary["divergence_cycle"] = cycle

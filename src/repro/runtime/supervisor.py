@@ -148,6 +148,9 @@ class SupervisedRun:
     quarantined_lanes: list[int] = field(default_factory=list)
     #: lane -> one of :data:`LANE_OUTCOMES` (empty for pre-lane callers)
     lane_outcomes: dict[int, str] = field(default_factory=dict)
+    #: the primary GEM engine's mode: "fused", or "legacy" when stage
+    #: fusion declined the program (``FusionError`` fallback)
+    mode: str = "fused"
 
     @property
     def healthy(self) -> bool:
@@ -230,11 +233,13 @@ class Supervisor:
         ``outputs`` stream.  Reference (non-redundant) shadows model a
         single instance and scrub lane 0's outputs only; the state-digest
         scrub of the redundant shadow covers every lane.
-    engine_mode:
-        ``"fused"`` (default) or ``"legacy"`` — forwarded to
+    backend:
+        Array backend of the fused stage kernels, forwarded to
         :meth:`CompiledDesign.simulator` for both primary and redundant
-        shadow.  Both engines share one fusion-cache entry, so the
-        shadow costs no extra decode/fusion work.
+        shadow.  The engine mode is not a choice: both run the fused
+        executor (falling back to the legacy loop only when fusion
+        declines the program) and share one decode/fusion-cache entry,
+        so the shadow costs no extra decode/fusion work.
     profile:
         Enable the primary engine's per-phase timers; the aggregated
         inject/gather/fold/commit seconds (across every retry attempt)
@@ -267,7 +272,6 @@ class Supervisor:
         scrub_every: int | None = 1,
         shadow: str | Callable[[], Steppable] | None = "redundant",
         batch: int = 1,
-        engine_mode: str = "fused",
         backend: str | None = None,
         profile: bool = False,
         max_retries: int = 3,
@@ -288,7 +292,6 @@ class Supervisor:
         self.scrub_every = scrub_every
         self.shadow_mode = shadow
         self.batch = batch
-        self.engine_mode = engine_mode
         self.backend = backend
         self.profile = profile
         self.max_retries = max_retries
@@ -323,9 +326,7 @@ class Supervisor:
         if self.shadow_mode is None:
             return None
         if self.shadow_mode == "redundant":
-            return self.design.simulator(
-                batch=self.batch, mode=self.engine_mode, backend=self.backend
-            )
+            return self.design.simulator(batch=self.batch, backend=self.backend)
         return self.shadow_mode()
 
     def _make_fallback(self) -> Steppable:
@@ -427,10 +428,7 @@ class Supervisor:
         stimuli = [dict(vec) for vec in stimuli]
         events: list[str] = []
         primary = self.design.simulator(
-            batch=self.batch,
-            mode=self.engine_mode,
-            backend=self.backend,
-            profile=self.profile,
+            batch=self.batch, backend=self.backend, profile=self.profile
         )
         shadow = self._make_shadow()
         start = 0
@@ -514,6 +512,7 @@ class Supervisor:
                 phase_times=self._collect_phase_times(primary),
                 timeouts=timeouts,
                 quarantined=quarantined,
+                mode=primary.mode,
             )
 
         if self.deadline is not None:
@@ -716,6 +715,7 @@ class Supervisor:
             lane_outcomes=self._lane_outcomes(
                 degraded=False, quarantined=quarantined, recovered=recovered_lanes
             ),
+            mode=primary.mode,
         )
 
     def _lane_outcomes(
@@ -753,6 +753,7 @@ class Supervisor:
         phase_times: dict[str, float] | None = None,
         timeouts: int = 0,
         quarantined: set[int] | None = None,
+        mode: str = "fused",
     ) -> SupervisedRun:
         """Replay on the gate-level reference so results keep flowing."""
         quarantined = quarantined or set()
@@ -799,4 +800,5 @@ class Supervisor:
             timeouts=timeouts,
             quarantined_lanes=sorted(quarantined),
             lane_outcomes=self._lane_outcomes(degraded=True, quarantined=quarantined),
+            mode=mode,
         )

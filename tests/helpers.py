@@ -9,7 +9,9 @@ directed stimuli and require identical output words every cycle.
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 from repro.core.backend import ArrayBackend, NumpyBackend
 from repro.rtl.builder import CircuitBuilder, Value
@@ -169,3 +171,19 @@ class RecordingBackend(ArrayBackend):
     def compile_stage(self, stage, trace, arena, scratch):
         self.compiled += 1
         return NumpyBackend().compile_stage(stage, trace, arena, scratch)
+
+
+@contextlib.contextmanager
+def fusion_unavailable(reason: str = "fusion disabled for the test"):
+    """Make stage fusion raise ``FusionError`` for every engine built
+    inside the block.  This is the only way production reaches the legacy
+    per-partition engine: the interpreter falls back to it automatically.
+    """
+    import repro.core.interpreter as interp_mod
+    from repro.core.fused import FusionError
+
+    def boom(*args, **kwargs):
+        raise FusionError(reason)
+
+    with mock.patch.object(interp_mod, "fused_program", boom):
+        yield

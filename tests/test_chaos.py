@@ -11,6 +11,7 @@ from repro.runtime.chaos import (
     ChaosReport,
     run_chaos,
 )
+from tests.helpers import fusion_unavailable
 
 
 class TestRegistry:
@@ -69,14 +70,13 @@ class TestScenarios:
         assert report.passed, report.summary()
 
     def test_lane_quarantine_scenario_legacy_engine(self, tmp_path):
-        """Acceptance: quarantine keeps healthy lanes bit-identical in the
-        legacy engine too (the fused mode runs in the CI smoke job)."""
-        report = run_chaos(
-            seeds=(11,),
-            scenarios=("lane-quarantine",),
-            engine_mode="legacy",
-            work_dir=str(tmp_path),
-        )
+        """Acceptance: quarantine keeps healthy lanes bit-identical on the
+        legacy engine the interpreter falls back to when stage fusion
+        fails (the fused engine runs in the CI smoke job)."""
+        with fusion_unavailable():
+            report = run_chaos(
+                seeds=(11,), scenarios=("lane-quarantine",), work_dir=str(tmp_path)
+            )
         assert report.passed, report.summary()
         assert "legacy" in report.outcomes[0].detail
 
@@ -110,6 +110,7 @@ class TestChaosCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         assert doc["outcomes"][0]["scenario"] == "save-oserror"
+        assert "engine_mode" not in doc["outcomes"][0]
 
     def test_cli_rejects_unknown_scenario(self, capsys, tmp_path):
         rc = cli.main_chaos(["--scenarios", "bogus", "--work-dir", str(tmp_path)])

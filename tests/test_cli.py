@@ -238,3 +238,106 @@ class TestResilienceExitCodes:
         out = capsys.readouterr().out
         assert rc == 0
         assert "timeouts: 0" in out
+
+
+class TestArgumentTotality:
+    """``--max-cycles`` takes a positive count and ``--batch`` a lane batch
+    the engine accepts; anything else exits 2 before any compile."""
+
+    @pytest.fixture(autouse=True)
+    def _no_compile(self, monkeypatch):
+        from repro.harness import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a usage error must not compile")
+
+        monkeypatch.setattr(runner, "compile_design", refuse)
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (cli.main_run, ["openpiton1"]),
+            (cli.main_probe, ["watch", "openpiton1"]),
+            (cli.main_cosim, ["openpiton1"]),
+            (cli.main_faultcampaign, ["openpiton1"]),
+        ],
+    )
+    @pytest.mark.parametrize("cycles", ["0", "-3"])
+    def test_non_positive_max_cycles_rejected(self, capsys, main, argv, cycles):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-cycles", cycles])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "must be a positive cycle count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (cli.main_run, ["openpiton1"]),
+            (cli.main_probe, ["activity", "openpiton1"]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            ("100", "not a whole number of 64-lane words"),
+            ("0", "batch must be in [1, 64]"),
+            ("many", "invalid literal"),
+        ],
+    )
+    def test_bad_batch_rejected(self, capsys, main, argv, batch, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--batch", batch])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+
+class TestRunVerdict:
+    """Plain and supervised ``gem-run`` judge the output stream alike."""
+
+    @pytest.fixture
+    def wrong_expectation(self, monkeypatch):
+        """openpiton1 workloads whose expected stream gains a bogus word."""
+        import dataclasses
+
+        from repro.harness import runner
+
+        real = runner.design_workloads
+
+        def skewed(name):
+            return {
+                key: dataclasses.replace(wl, expected_out=[*wl.expected_out, 0xDEAD])
+                if wl.expected_out is not None else wl
+                for key, wl in real(name).items()
+            }
+
+        monkeypatch.setattr(runner, "design_workloads", skewed)
+
+    @pytest.mark.parametrize("supervise", [[], ["--scrub-every", "5"]])
+    def test_mismatch_exits_mismatch(self, capsys, wrong_expectation, supervise):
+        rc = cli.main_run(["openpiton1", "ldst_quad2", *supervise])
+        assert rc == cli.EXIT_MISMATCH
+        assert "[MISMATCH]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("supervise", [[], ["--scrub-every", "5"]])
+    def test_truncated_run_is_not_judged(self, capsys, supervise):
+        rc = cli.main_run(["openpiton1", "ldst_quad2", "--max-cycles", "30", *supervise])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_OK
+        assert "MISMATCH" not in out
+        assert "final outputs" in out
+
+    @pytest.mark.parametrize("supervise", [[], ["--scrub-every", "5"]])
+    def test_report_records_the_mode_that_ran(self, capsys, tmp_path, supervise):
+        """With fusion failing the engine falls back to legacy, and the
+        RunReport says so (not the fused mode it would have asked for)."""
+        from repro.obs.report import load_report
+        from tests.helpers import fusion_unavailable
+
+        path = str(tmp_path / "report.json")
+        with fusion_unavailable():
+            rc = cli.main_run([
+                "openpiton1", "ldst_quad2", "--max-cycles", "12",
+                "--report-out", path, *supervise,
+            ])
+        assert rc == cli.EXIT_OK
+        assert load_report(path).engine_mode == "legacy"

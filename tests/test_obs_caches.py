@@ -1,11 +1,13 @@
 """Decode/fusion cache behaviour under real sharing patterns (satellite).
 
 Extends the basic cache tests in test_fused_engine with the scenarios
-the observability PR cares about: supervisor primary+shadow sharing in
-both engine modes, eviction past the 8-entry LRU bound, cross-mode
-(fused + legacy) sharing of one decode/fusion entry, and the mirroring
-of cache traffic into the metrics registry.
+the observability PR cares about: supervisor primary+shadow sharing on
+the fused engine and on the legacy fallback, eviction past the 8-entry
+LRU bound, cross-mode (fused + legacy) sharing of one decode/fusion
+entry, and the mirroring of cache traffic into the metrics registry.
 """
+
+import contextlib
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.core.interpreter import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.runtime.supervisor import Supervisor
-from tests.helpers import random_circuit, random_vectors
+from tests.helpers import fusion_unavailable, random_circuit, random_vectors
 from tests.test_fused_engine import _compile_small
 
 
@@ -44,16 +46,19 @@ def design():
 class TestSupervisorSharing:
     @pytest.mark.parametrize("engine_mode", ["fused", "legacy"])
     def test_primary_and_shadow_share_one_entry(self, design, engine_mode):
-        """Primary + redundant shadow decode and fuse exactly once in
-        either engine mode (legacy still fuses for the work counters)."""
+        """Primary + redundant shadow decode (and fuse) exactly once.  The
+        legacy case is the fallback taken when fusion fails: the two
+        engines still share one decode entry and no fusion is cached."""
         circuit = random_circuit(711, n_ops=40, n_regs=3, with_memory=True)
         stimuli = random_vectors(circuit, seed=7, cycles=6)
-        result = Supervisor(
-            design, shadow="redundant", batch=2, engine_mode=engine_mode
-        ).run(stimuli)
+        forced = fusion_unavailable() if engine_mode == "legacy" else contextlib.nullcontext()
+        with forced:
+            result = Supervisor(design, shadow="redundant", batch=2).run(stimuli)
         assert result.cycles == len(stimuli)
+        assert result.mode == engine_mode
         assert decode_cache_stats() == {"misses": 1, "hits": 1}
-        assert fusion_cache_stats() == {"misses": 1, "hits": 1}
+        fusions = 1 if engine_mode == "fused" else 0
+        assert fusion_cache_stats() == {"misses": fusions, "hits": fusions}
 
     def test_consecutive_supervised_runs_hit(self, design):
         circuit = random_circuit(711, n_ops=40, n_regs=3, with_memory=True)

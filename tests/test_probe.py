@@ -321,6 +321,42 @@ class TestDivergenceDump:
             assert VcdReader(f).cycles()
 
 
+    def test_fuzz_dump_replays_the_diverging_engine_and_lane(self, tmp_path):
+        """A divergence found on the legacy engine at batch 16, lane 5 is
+        dumped from exactly that run: legacy, 16 rotated lane streams,
+        lane 5 — not from a batch-1 fused lane-0 re-run."""
+        from repro.fuzz.corpus import _dump_divergence_waves
+        from repro.fuzz.designgen import generate_design, random_stimuli
+        from repro.fuzz.oracle import FuzzDivergence, OracleConfig, _rotated
+
+        spec = generate_design(0, "mixed").spec
+        stimuli = random_stimuli(spec, 0, 16)
+        config = OracleConfig(batches=(1, 16))
+        div = FuzzDivergence(
+            cycle=6, engine="legacy", reference="fused", signals={}, batch=16, lane=5
+        )
+        dumped = tmp_path / "fuzz.vcd"
+        _dump_divergence_waves(spec, stimuli, div, config, str(dumped))
+
+        compiled = GemCompiler(compile_profile(config.compile_profile)).compile(spec.build())
+        coerced = _coerce_stimuli(spec, stimuli)
+        lanes = [_rotated(coerced, lane) for lane in range(16)]
+        plan = build_probe_plan(compiled)
+        ring = WaveRing(plan, capacity=15)  # cycles 0..14 around cycle 6
+        tap = ProbeTap(plan, [ring])
+        sim = compiled.simulator(batch=16, mode="legacy")
+        tap.attach(sim)
+        for cycle in range(15):
+            sim.step_lanes([stream[cycle] for stream in lanes])
+        direct = tmp_path / "direct.vcd"
+        ring.dump_vcd(str(direct), lane=5)
+        assert dumped.read_text() == direct.read_text()
+
+        lane0 = tmp_path / "lane0.vcd"
+        dump_divergence_waves(compiled, coerced, 6, str(lane0))
+        assert dumped.read_text() != lane0.read_text(), "lane 5 must differ from lane 0"
+
+
 class TestCli:
     def test_gem_probe_list_json(self, capsys):
         import json

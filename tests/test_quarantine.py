@@ -1,9 +1,12 @@
 """Per-lane quarantine and retry backoff (repro.runtime.supervisor).
 
 A persistently corrupt lane must be masked out of the batch while every
-healthy lane continues bit-identically — in both engine modes — and the
+healthy lane continues bit-identically — on the fused engine and on the
+legacy engine the interpreter falls back to when fusion fails — and the
 backoff schedule must follow the documented exponential exactly.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from repro.runtime.supervisor import (
     Supervisor,
     state_digest_lanes,
 )
-from tests.helpers import random_circuit, random_vectors
+from tests.helpers import fusion_unavailable, random_circuit, random_vectors
 
 BATCH = 8
 
@@ -76,19 +79,21 @@ class TestQuarantine:
         self, compiled, engine_mode
     ):
         """Acceptance: quarantining lane L leaves every other lane's output
-        stream bit-identical to an undisturbed run, in both engine modes."""
+        stream bit-identical to an undisturbed run, on the fused engine
+        and on the legacy fallback (reached by making fusion fail)."""
         circuit, design, stimuli = compiled
         victim = 3
-        golden = Supervisor(design, batch=BATCH, engine_mode=engine_mode).run(stimuli)
+        forced = fusion_unavailable() if engine_mode == "legacy" else contextlib.nullcontext()
+        with forced:
+            golden = Supervisor(design, batch=BATCH).run(stimuli)
+            result = Supervisor(
+                design,
+                batch=BATCH,
+                checkpoint_every=6,
+                fault_hook=_persistent_lane_fault(victim, start=15),
+            ).run(stimuli)
         assert not golden.degraded
-
-        result = Supervisor(
-            design,
-            batch=BATCH,
-            checkpoint_every=6,
-            engine_mode=engine_mode,
-            fault_hook=_persistent_lane_fault(victim, start=15),
-        ).run(stimuli)
+        assert golden.mode == result.mode == engine_mode
         assert not result.degraded
         assert result.quarantined_lanes == [victim]
         assert result.lane_outcomes[victim] == "quarantined"
